@@ -132,9 +132,9 @@ func BenchmarkEMDSimplexK16(b *testing.B) { benchmarkEMD(b, 16, 2) }
 func BenchmarkEMDSimplexK32(b *testing.B) { benchmarkEMD(b, 32, 2) }
 func BenchmarkEMDSimplexK64(b *testing.B) { benchmarkEMD(b, 64, 2) }
 
-// The large-signature sizes are where the block-pricing path takes over
-// (K >= emd.DefaultLargeThreshold); BENCH_PR5.json records the
-// before/after comparison against the classic full-refill solver.
+// The large-signature sizes are where a refill covers only a fraction of
+// the pricing blocks; BENCH_PR5.json records the block-pricing rework's
+// before/after comparison at these sizes.
 func BenchmarkEMDSimplexK128(b *testing.B) { benchmarkEMD(b, 128, 2) }
 func BenchmarkEMDSimplexK256(b *testing.B) { benchmarkEMD(b, 256, 2) }
 func BenchmarkEMDSimplexK512(b *testing.B) { benchmarkEMD(b, 512, 2) }
@@ -248,7 +248,8 @@ func BenchmarkBootstrapCI(b *testing.B) {
 }
 
 // BenchmarkBootstrapCIParallel is the same interval with the replicate
-// shards spread over all cores (the detector's default regime).
+// shards spread over all cores (Workers = GOMAXPROCS, an explicit
+// opt-in; detectors bootstrap on the calling goroutine by default).
 func BenchmarkBootstrapCIParallel(b *testing.B) {
 	rng := randx.New(5)
 	n := 10

@@ -525,6 +525,10 @@ func runServe(eng *repro.Engine, o serveOptions) error {
 	}
 	defer stopDebug()
 
+	// The drain handler goes in before the address is announced: a
+	// SIGTERM sent as soon as "serving" appears must drain, not kill.
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		return err
@@ -535,8 +539,6 @@ func runServe(eng *repro.Engine, o serveOptions) error {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		eng.Shutdown()

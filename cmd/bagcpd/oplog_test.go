@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"syscall"
 	"testing"
 
 	"repro"
@@ -174,4 +175,98 @@ func splitLines(s string) []string {
 		out = append(out, s[start:])
 	}
 	return out
+}
+
+// TestServeOplogSpillFaultInCrash is the regression drill for a stream
+// whose base state lives only in its spill file. With -pool-max 1, a
+// second stream spills the first; a drain checkpoints the resident one
+// only. After a restart, a push faults the spilled stream back in, and
+// the process is SIGKILLed before any checkpoint holds that stream. The
+// log suffix then carries the stream's new push but not its base state,
+// so the spill file must still be on disk: the next start must recover
+// and every continued push must score bit-identically to an
+// uninterrupted in-process reference.
+func TestServeOplogSpillFaultInCrash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	oplogDir := filepath.Join(t.TempDir(), "oplog")
+	args := []string{
+		"-serve", "127.0.0.1:0",
+		"-tau", "2", "-tau-prime", "2",
+		"-hist-lo", "-5", "-hist-hi", "5", "-hist-bins", "10",
+		"-bootstrap", "120", "-seed", "7",
+		"-oplog", oplogDir, "-pool-max", "1",
+	}
+	ref, err := repro.NewEngine(
+		repro.WithTau(2), repro.WithTauPrime(2),
+		repro.WithBuilderFactory(repro.HistogramFactory(-5, 5, 10)),
+		repro.WithBootstrap(repro.BootstrapConfig{Replicates: 120}),
+		repro.WithSeed(7),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := map[string]int{}
+	// push sends the stream's next bag to the server and to the
+	// reference engine, and checks the acknowledged row against the
+	// reference point.
+	push := func(base, id string) {
+		t.Helper()
+		step := next[id]
+		next[id]++
+		rows := servePush(t, base, step, id)
+		st, err := ref.Open(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := st.Push(repro.BagFromScalars(step, serveBag(id, step)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := rows[0]
+		if row.Error != "" || row.BagT != step {
+			t.Fatalf("stream %s step %d: %+v", id, step, row)
+		}
+		if want == nil {
+			if !row.Pending {
+				t.Fatalf("stream %s step %d: expected pending, got %+v", id, step, row)
+			}
+			return
+		}
+		if row.Score == nil || *row.Score != want.Score ||
+			*row.Lo != want.Interval.Lo || *row.Up != want.Interval.Up ||
+			*row.T != want.T || row.Alarm != want.Alarm {
+			t.Fatalf("stream %s step %d: row %+v != uninterrupted %+v (interval %+v)", id, step, row, want, want.Interval)
+		}
+	}
+
+	// A: a, a, b — b's arrival spills a — then a graceful drain, whose
+	// checkpoint holds b only.
+	cmdA, base := startBagcpd(t, args...)
+	push(base, "a")
+	push(base, "a")
+	push(base, "b")
+	if err := cmdA.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdA.Wait(); err != nil {
+		t.Fatalf("drain exit: %v", err)
+	}
+
+	// B: a faults back in (spilling b), is pushed and acknowledged, and
+	// the process dies before any checkpoint.
+	cmdB, base := startBagcpd(t, args...)
+	push(base, "a")
+	if err := cmdB.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	cmdB.Wait()
+
+	// C must recover both streams and continue them bit-identically.
+	_, base = startBagcpd(t, args...)
+	for i := 0; i < 3; i++ {
+		push(base, "a")
+		push(base, "b")
+	}
 }

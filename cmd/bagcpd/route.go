@@ -48,6 +48,9 @@ func runRoute(addr, members string, replicas int, debugAddr string, logger *slog
 	}
 	defer stopDebug()
 
+	// Handler before announcement, as in runServe.
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -58,8 +61,6 @@ func runRoute(addr, members string, replicas int, debugAddr string, logger *slog
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		return err

@@ -459,4 +459,33 @@ func TestServeSnapshotOnExit(t *testing.T) {
 			checkRouted(t, rows[i], id, step, want[refKey{id, step}])
 		}
 	}
+
+	// A SIGTERM sent the moment "serving" is announced must still drain:
+	// the handler is installed before the address goes out, so the
+	// process exits cleanly and writes its (stream-empty) envelope.
+	earlyPath := t.TempDir() + "/early.snapshot.json"
+	cmdC, _ := startMember(t, "127.0.0.1:0", "-snapshot-on-exit", earlyPath)
+	if err := cmdC.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	go func() { done <- cmdC.Wait() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("SIGTERM at announcement: %v (want a clean drain)", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("server did not exit after SIGTERM at announcement")
+	}
+	blob, err := os.ReadFile(earlyPath)
+	if err != nil {
+		t.Fatalf("snapshot-on-exit file after SIGTERM at announcement: %v", err)
+	}
+	var early repro.EngineSnapshot
+	if err := json.Unmarshal(blob, &early); err != nil {
+		t.Fatalf("envelope after SIGTERM at announcement: %v", err)
+	}
+	if early.Version != repro.SnapshotVersion || len(early.Streams) != 0 {
+		t.Fatalf("envelope after SIGTERM at announcement: version %d, %d streams", early.Version, len(early.Streams))
+	}
 }

@@ -24,11 +24,12 @@ type EngineConfig struct {
 	// Template holds the per-stream detector parameters (Tau, TauPrime,
 	// Score, Weighting, Ground, Bootstrap, LogFloor, RawMass). Its
 	// Builder field must be nil — per-stream builders come from Factory —
-	// and its Seed field is ignored in favour of the engine Seed. A zero
-	// Bootstrap.Workers defaults to 1: the engine parallelizes across
-	// streams, so nesting per-detector bootstrap parallelism underneath
-	// would only oversubscribe the CPUs (the bootstrap result is
-	// bit-identical either way).
+	// and its Seed field is ignored in favour of the engine Seed. Leave
+	// Bootstrap.Workers at 0: each stream then bootstraps on the goroutine
+	// that pushes it, and parallelism comes from the engine's Workers
+	// fanning streams out. Nesting per-detector fan-out underneath would
+	// only oversubscribe the CPUs (the result is bit-identical either
+	// way).
 	Template Config
 	// Factory builds each stream's signature builder from the stream's
 	// derived seed. Required.
@@ -148,9 +149,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Template.Bootstrap.Workers == 0 {
-		cfg.Template.Bootstrap.Workers = 1
 	}
 	return &Engine{cfg: cfg, streams: make(map[string]*Stream)}, nil
 }

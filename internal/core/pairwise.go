@@ -126,7 +126,6 @@ type pairwiseCfg struct {
 	factorySeed int64
 	ground      emd.Ground
 	rawMass     bool
-	largeK      int   // emd.WithLargeThreshold for every worker solver
 	cacheSlots  int   // ground-cost cache slots per worker; < 0 disables
 	err         error // first option error, reported at the call site
 }
@@ -222,18 +221,6 @@ func WithPairGround(g emd.Ground) PairwiseOpt {
 // different sizes.
 func WithPairRawMass(raw bool) PairwiseOpt {
 	return func(c *pairwiseCfg) { c.rawMass = raw }
-}
-
-// WithPairEMDLargeThreshold sets the signature size at which every
-// worker's EMD solver switches to the block-pricing large-signature
-// path: 0 (the default) selects emd.DefaultLargeThreshold, negative
-// pins the classic solver. Both paths compute the same optimal EMD to
-// rounding, but degenerate instances may settle on bases whose costs
-// differ in the last bits, so all shards of one sharded run must use
-// the same threshold for the merged matrix to be bit-identical to a
-// single-process run.
-func WithPairEMDLargeThreshold(k int) PairwiseOpt {
-	return func(c *pairwiseCfg) { c.largeK = k }
 }
 
 // WithPairEMDCostCache sizes the ground-cost cache each worker solver
@@ -434,7 +421,7 @@ func computeTiles(sigs []signature.Signature, flat []float64, packed [][]float64
 		dim = sigs[0].Dim()
 	}
 	newWorkerSolver := func() *emd.Solver {
-		sv := emd.NewSolver(emd.WithLargeThreshold(cfg.largeK))
+		sv := emd.NewSolver()
 		if cfg.cacheSlots >= 0 {
 			cc := emd.NewCostCache(cfg.cacheSlots)
 			cc.Prewarm(maxLen, dim)

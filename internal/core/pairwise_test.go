@@ -492,64 +492,3 @@ func TestPairwiseShardMemoryIsPacked(t *testing.T) {
 		t.Errorf("shards carry %d packed cells in total, want exactly the %d upper-triangle cells", total, want)
 	}
 }
-
-// TestPairwiseEMDLargeThresholdOption drives the tiled engine with the
-// block-pricing EMD path forced on every worker solver: the matrix must
-// agree with the classic-path matrix within the solver conformance
-// envelope (1e-9 — the two paths may settle on different equally
-// optimal bases, so bit-identity is deliberately NOT promised across
-// DIFFERENT thresholds), and a sharded run with the same threshold must
-// merge bit-identically to its own single-process run.
-func TestPairwiseEMDLargeThresholdOption(t *testing.T) {
-	const n = 20
-	rng := randx.New(44)
-	seq := make(bag.Sequence, n)
-	for ts := 0; ts < n; ts++ {
-		pts := make([][]float64, 30)
-		for i := range pts {
-			pts[i] = rng.NormalVec(2, float64(ts/7), 1)
-		}
-		seq[ts] = bag.New(ts, pts)
-	}
-	factory := signature.KMeansFactory(6, cluster.Config{MaxIters: 25})
-	const seed = 7
-
-	classic, err := Pairwise(seq, WithPairBuilderFactory(factory, seed), WithPairEMDLargeThreshold(-1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	forced, err := Pairwise(seq, WithPairBuilderFactory(factory, seed), WithPairEMDLargeThreshold(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			c, f := classic.At(i, j), forced.At(i, j)
-			if math.Abs(c-f) > 1e-9*(1+c) {
-				t.Fatalf("cell (%d,%d): classic %.17g vs block-pricing %.17g", i, j, c, f)
-			}
-		}
-	}
-
-	// Same threshold on every shard → merged matrix bit-identical to the
-	// single-process forced run.
-	var parts []*PartialMatrix
-	for s := 0; s < 2; s++ {
-		p, err := PairwiseShard(seq, WithPairBuilderFactory(factory, seed),
-			WithPairEMDLargeThreshold(1), WithTileSize(5), WithShard(s, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts = append(parts, p)
-	}
-	merged, err := MergePairwise(parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	forcedTiled, err := Pairwise(seq, WithPairBuilderFactory(factory, seed),
-		WithPairEMDLargeThreshold(1), WithTileSize(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMatrixEqualsRef(t, "forced-large shards=2", merged, forcedTiled.Rows())
-}

@@ -35,14 +35,12 @@ import (
 // versions: the snapshot encodes internal stream positions whose meaning
 // is tied to the code that wrote them.
 //
-// v2 added the EMD large-path threshold (emd_large_k) to the
-// fingerprint AND changed what a default configuration computes:
-// detectors now auto-route signatures at or above
-// emd.DefaultLargeThreshold through the block-pricing solver, whose
-// optimal cost can differ from the classic path's in the last bits on
-// degenerate instances. A v1 envelope restored here could therefore
-// diverge from its source run without any fingerprint field
-// disagreeing, so v1 is refused outright — a loud re-run beats a
+// v2 changed what a default configuration computes: detectors began
+// routing signatures of 128 or more centers through a block-pricing
+// simplex, whose optimal cost can differ from the earlier simplex's in
+// the last bits on degenerate instances. A v1 envelope restored here
+// could therefore diverge from its source run without any fingerprint
+// field disagreeing, so v1 is refused outright — a loud re-run beats a
 // silent drift.
 //
 // v3 changed the large path's pricing from per-row candidate lists to
@@ -68,7 +66,16 @@ import (
 // with a v4 writer. The JSON key is "statistic" and the legacy "score"
 // key is gone, so a v3 envelope also cannot masquerade as v4 by version
 // edits alone without its fingerprint going visibly blank.
-const SnapshotVersion = 4
+//
+// v5 routes every EMD solve, at every signature size, through the
+// block-pricing simplex; v4 used it only from 128 centers up and
+// carried that size threshold in the fingerprint. Below 128 centers the
+// pivot order changed, so degenerate instances can settle on a
+// different equally-optimal basis and produce different last bits under
+// an otherwise unchanged fingerprint — the v2/v3 reasoning again, so v4
+// envelopes are refused. The threshold field left the fingerprint with
+// the knob.
+const SnapshotVersion = 5
 
 // SignatureState is one window signature in serializable form.
 type SignatureState struct {
@@ -228,7 +235,6 @@ type EngineSnapshot struct {
 	LogFloor   float64 `json:"log_floor"`
 	Replicates int     `json:"replicates"`
 	Alpha      float64 `json:"alpha"`
-	EMDLargeK  int     `json:"emd_large_k,omitempty"`
 	BuilderTag string  `json:"builder_tag,omitempty"`
 	// Mark is the engine's mutation counter at capture time. Feed it back
 	// to Engine.SnapshotDelta (or GET /v1/snapshot?since=mark) to get
@@ -318,7 +324,6 @@ func (e *Engine) fingerprint() EngineSnapshot {
 		LogFloor:   t.LogFloor,
 		Replicates: t.Bootstrap.Replicates,
 		Alpha:      t.Bootstrap.Alpha,
-		EMDLargeK:  t.EMDLargeK,
 		BuilderTag: e.cfg.BuilderTag,
 	}
 }
@@ -326,7 +331,7 @@ func (e *Engine) fingerprint() EngineSnapshot {
 // ValidateSnapshot checks that snap could be restored onto this engine —
 // the schema version is readable and the configuration fingerprint
 // (seed, τ, τ′, statistic name, weighting, raw-mass, log-floor,
-// replicates, α, EMD large-path threshold, builder tag) matches —
+// replicates, α, builder tag) matches —
 // without touching any state. A server front-end
 // calls it BEFORE tearing down live streams, so a rejected envelope
 // leaves the receiving engine exactly as it was.
@@ -338,7 +343,7 @@ func (e *Engine) ValidateSnapshot(snap *EngineSnapshot) error {
 	mismatch := snap.Seed != want.Seed || snap.Tau != want.Tau || snap.TauPrime != want.TauPrime ||
 		snap.Statistic != want.Statistic || snap.Weighting != want.Weighting || snap.RawMass != want.RawMass ||
 		snap.LogFloor != want.LogFloor || snap.Replicates != want.Replicates || snap.Alpha != want.Alpha ||
-		snap.EMDLargeK != want.EMDLargeK || snap.BuilderTag != want.BuilderTag
+		snap.BuilderTag != want.BuilderTag
 	if mismatch {
 		got := *snap
 		got.Streams = nil

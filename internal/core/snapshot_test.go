@@ -238,15 +238,6 @@ func TestEngineRestoreValidation(t *testing.T) {
 		if err := newTestEngine(t, factory, 1).Restore(&bad); err == nil {
 			t.Fatal("expected builder tag mismatch error")
 		}
-		// The EMD large-path threshold selects which (equally optimal)
-		// basis degenerate instances settle on, so engines that disagree
-		// on it must refuse each other's snapshots instead of silently
-		// diverging in the last bits.
-		bad = *snap
-		bad.EMDLargeK = 64
-		if err := newTestEngine(t, factory, 1).Restore(&bad); err == nil {
-			t.Fatal("expected EMD large-threshold mismatch error")
-		}
 	})
 	t.Run("v3-envelope-refused", func(t *testing.T) {
 		// A v3 envelope — Version 3, integer "score" fingerprint field,
@@ -275,8 +266,38 @@ func TestEngineRestoreValidation(t *testing.T) {
 		if err == nil {
 			t.Fatal("v3 envelope accepted")
 		}
-		if want := "snapshot version 3, this engine reads version 4"; !strings.Contains(err.Error(), want) {
+		if want := fmt.Sprintf("snapshot version 3, this engine reads version %d", SnapshotVersion); !strings.Contains(err.Error(), want) {
 			t.Fatalf("v3 refusal error %q does not name the versions (%q)", err, want)
+		}
+	})
+	t.Run("v4-envelope-refused", func(t *testing.T) {
+		// A v4 envelope — written when signatures below 128 centers took
+		// a different simplex — must be refused by version: its
+		// degenerate EMDs may differ in the last bits from what this
+		// engine computes, and no fingerprint field would say so.
+		blob, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wire map[string]json.RawMessage
+		if err := json.Unmarshal(blob, &wire); err != nil {
+			t.Fatal(err)
+		}
+		wire["version"] = json.RawMessage("4")
+		legacy, err := json.Marshal(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var old EngineSnapshot
+		if err := json.Unmarshal(legacy, &old); err != nil {
+			t.Fatal(err)
+		}
+		err = newTestEngine(t, factory, 1).Restore(&old)
+		if err == nil {
+			t.Fatal("v4 envelope accepted")
+		}
+		if want := fmt.Sprintf("snapshot version 4, this engine reads version %d", SnapshotVersion); !strings.Contains(err.Error(), want) {
+			t.Fatalf("v4 refusal error %q does not name the versions (%q)", err, want)
 		}
 	})
 	t.Run("statistic-mismatch", func(t *testing.T) {

@@ -22,15 +22,15 @@ import (
 // A CostCache keys lazily-filled cost matrices on a content hash of the
 // filtered support points (collision-checked by bitwise comparison, so a
 // hash collision degrades to a miss, never a wrong matrix). Rows are
-// stored at the granularity the solver computes them — whole rows on the
-// classic path and on large-path block refills, single cells for the
-// large path's NW-corner basis costs — so a warm re-solve of the same
-// supports performs ZERO ground evaluations on either simplex path.
+// stored at the granularity the solver computes them — whole rows on
+// block refills, single cells for the NW-corner basis costs — so a warm
+// re-solve of the same supports performs ZERO ground evaluations.
 //
 // The cache is bit-transparent: a stored value is the float the ground
-// function returned, the solver replays the identical maxCost-tracking
-// comparisons over served rows, and tolerance evolution therefore
-// matches the uncached solve exactly. Cache on/off produces identical
+// function returned, a served row raises the solver's maxCost by the
+// row's stored maximum — the value the uncached solve's comparisons
+// over that row arrive at — and tolerance evolution therefore matches
+// the uncached solve exactly. Cache on/off produces identical
 // bits (property-tested and fuzzed), which is why the cache knob is NOT
 // part of the engine snapshot fingerprint and must never bump
 // core.SnapshotVersion.
@@ -63,6 +63,7 @@ type costEntry struct {
 	pts         []float64 // filtered supports, src then dst, flattened
 
 	cost     []float64 // m0×n0 ground costs, row-major
+	rowMax   []float64 // largest cost of each stored row
 	rowDone  []bool    // row fully computed and stored
 	cellDone []bool    // individual cells stored via basis-cost lookups
 }
@@ -128,10 +129,11 @@ func (c *CostCache) Prewarm(k, dim int) {
 	}
 	for i := range c.slots {
 		e := &c.slots[i]
-		grown := cap(e.pts) < 2*k*dim || cap(e.cost) < k*k ||
+		grown := cap(e.pts) < 2*k*dim || cap(e.cost) < k*k || cap(e.rowMax) < k ||
 			cap(e.rowDone) < k || cap(e.cellDone) < k*k
 		e.pts = growFloats(e.pts, 2*k*dim)
 		e.cost = growFloats(e.cost, k*k)
+		e.rowMax = growFloats(e.rowMax, k)
 		e.rowDone = growBools(e.rowDone, k)
 		e.cellDone = growBools(e.cellDone, k*k)
 		switch {
@@ -147,6 +149,7 @@ func (c *CostCache) Prewarm(k, dim int) {
 			// Re-expose the live entry's views (grow* reslices).
 			e.pts = e.pts[:(e.m0+e.n0)*e.dim]
 			e.cost = e.cost[:e.m0*e.n0]
+			e.rowMax = e.rowMax[:e.m0]
 			e.rowDone = e.rowDone[:e.m0]
 			e.cellDone = e.cellDone[:e.m0*e.n0]
 		}
@@ -218,6 +221,7 @@ func (c *CostCache) acquire(s, t signature.Signature, srcIdx, dstIdx []int, dim 
 		p += copy(victim.pts[p:], t.Centers[dj])
 	}
 	victim.cost = growFloats(victim.cost, m0*n0)
+	victim.rowMax = growFloats(victim.rowMax, m0)
 	victim.rowDone = growBools(victim.rowDone, m0)
 	for i := range victim.rowDone {
 		victim.rowDone[i] = false

@@ -20,8 +20,8 @@ func identityIdx(n int) []int {
 }
 
 // TestCostCacheBitIdentity is the cache's core contract as a property
-// test: with the cache on, every solve — cold store or warm serve, on
-// either simplex path, under either ground, on random as well as
+// test: with the cache on, every solve — cold store or warm serve,
+// under either ground, on random as well as
 // builder-shaped (histogram/grid) signatures — returns floats
 // bit-identical to the uncached solver. This is what licenses keeping
 // EMDCostCacheSlots out of the snapshot fingerprint.
@@ -70,34 +70,25 @@ func TestCostCacheBitIdentity(t *testing.T) {
 		name string
 		g    Ground
 	}{{"euclidean", Euclidean}, {"manhattan", Manhattan}}
-	paths := []struct {
-		name string
-		opt  SolverOption
-	}{
-		{"classic", WithLargeThreshold(-1)},
-		{"large", WithLargeThreshold(1)},
-	}
 
-	for _, path := range paths {
-		for _, gr := range grounds {
-			plain := NewSolver(path.opt)
-			cached := NewSolver(path.opt, WithCostCache(3))
-			for _, p := range pairs {
-				want, err := plain.Distance(p.s, p.u, gr.g)
+	for _, gr := range grounds {
+		plain := NewSolver()
+		cached := NewSolver(WithCostCache(3))
+		for _, p := range pairs {
+			want, err := plain.Distance(p.s, p.u, gr.g)
+			if err != nil {
+				t.Fatalf("%s/%s uncached: %v", gr.name, p.name, err)
+			}
+			// Pass 0 stores the matrix, pass 1 is served from it; both
+			// must be exactly the uncached value.
+			for pass := 0; pass < 2; pass++ {
+				got, err := cached.DistanceCached(p.s, p.u, gr.g)
 				if err != nil {
-					t.Fatalf("%s/%s/%s uncached: %v", path.name, gr.name, p.name, err)
+					t.Fatalf("%s/%s cached pass %d: %v", gr.name, p.name, pass, err)
 				}
-				// Pass 0 stores the matrix, pass 1 is served from it; both
-				// must be exactly the uncached value.
-				for pass := 0; pass < 2; pass++ {
-					got, err := cached.DistanceCached(p.s, p.u, gr.g)
-					if err != nil {
-						t.Fatalf("%s/%s/%s cached pass %d: %v", path.name, gr.name, p.name, pass, err)
-					}
-					if got != want {
-						t.Fatalf("%s/%s/%s cached pass %d: got %.17g, uncached %.17g (cache must be bit-transparent)",
-							path.name, gr.name, p.name, pass, got, want)
-					}
+				if got != want {
+					t.Fatalf("%s/%s cached pass %d: got %.17g, uncached %.17g (cache must be bit-transparent)",
+						gr.name, p.name, pass, got, want)
 				}
 			}
 		}
@@ -106,49 +97,39 @@ func TestCostCacheBitIdentity(t *testing.T) {
 
 // TestCostCacheWarmResolveZeroGroundEvals pins the amortization claim
 // itself: a warm re-solve of the same support pair performs ZERO ground
-// evaluations on both simplex paths — row fills hit rowDone and the
-// large path's NW-corner basis costs hit cellDone.
+// evaluations — row fills hit rowDone and the NW-corner basis costs hit
+// cellDone.
 func TestCostCacheWarmResolveZeroGroundEvals(t *testing.T) {
 	rng := randx.New(33)
-	for _, tc := range []struct {
-		name string
-		opt  SolverOption
-	}{
-		{"classic", WithLargeThreshold(-1)},
-		{"large", WithLargeThreshold(1)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sv := NewSolver(tc.opt, WithCostCache(2))
-			s := randomSig(rng, 2, 24, 1)
-			u := randomSig(rng, 2, 24, 1)
+	sv := NewSolver(WithCostCache(2))
+	s := randomSig(rng, 2, 24, 1)
+	u := randomSig(rng, 2, 24, 1)
 
-			cold, err := sv.DistanceCached(s, u, Euclidean)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cs := sv.Stats()
-			if cs.GroundEvals == 0 {
-				t.Fatal("cold solve performed no ground evaluations")
-			}
-			if cs.CacheMisses == 0 {
-				t.Fatal("cold solve stored nothing into the cache")
-			}
+	cold, err := sv.DistanceCached(s, u, Euclidean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := sv.Stats()
+	if cs.GroundEvals == 0 {
+		t.Fatal("cold solve performed no ground evaluations")
+	}
+	if cs.CacheMisses == 0 {
+		t.Fatal("cold solve stored nothing into the cache")
+	}
 
-			warm, err := sv.DistanceCached(s, u, Euclidean)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if warm != cold {
-				t.Fatalf("warm %.17g != cold %.17g", warm, cold)
-			}
-			ws := sv.Stats()
-			if ws.GroundEvals != 0 {
-				t.Errorf("warm re-solve performed %d ground evals, want 0", ws.GroundEvals)
-			}
-			if ws.CacheHits == 0 {
-				t.Error("warm re-solve served no cells from the cache")
-			}
-		})
+	warm, err := sv.DistanceCached(s, u, Euclidean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm != cold {
+		t.Fatalf("warm %.17g != cold %.17g", warm, cold)
+	}
+	ws := sv.Stats()
+	if ws.GroundEvals != 0 {
+		t.Errorf("warm re-solve performed %d ground evals, want 0", ws.GroundEvals)
+	}
+	if ws.CacheHits == 0 {
+		t.Error("warm re-solve served no cells from the cache")
 	}
 }
 
@@ -163,13 +144,13 @@ func TestCostCacheHashCollisionRejected(t *testing.T) {
 	sA, uA := randomSig(rng, 2, 10, 1), randomSig(rng, 2, 10, 1)
 	sB, uB := randomSig(rng, 2, 10, 1), randomSig(rng, 2, 10, 1)
 
-	want, err := NewSolver(WithLargeThreshold(-1)).Distance(sB, uB, Euclidean)
+	want, err := NewSolver().Distance(sB, uB, Euclidean)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cc := NewCostCache(4)
-	sv := NewSolver(WithLargeThreshold(-1))
+	sv := NewSolver()
 	sv.SetCostCache(cc)
 	if _, err := sv.DistanceCached(sA, uA, Euclidean); err != nil {
 		t.Fatal(err)
@@ -205,9 +186,9 @@ func TestCostCacheHashCollisionRejected(t *testing.T) {
 func TestCostCacheLRUEviction(t *testing.T) {
 	rng := randx.New(7)
 	cc := NewCostCache(2)
-	sv := NewSolver(WithLargeThreshold(-1))
+	sv := NewSolver()
 	sv.SetCostCache(cc)
-	ref := NewSolver(WithLargeThreshold(-1))
+	ref := NewSolver()
 
 	type pair struct {
 		s, u signature.Signature

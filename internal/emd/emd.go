@@ -8,15 +8,12 @@
 // two step CDFs.
 //
 // The hot path lives in Solver, a reusable workspace that computes
-// distances with zero steady-state allocations. Two simplex paths share
-// it: the classic full-refill path for small signatures and a
-// block-pricing path for large ones (lazy cost rows, shrinking
-// candidate refills, rooted basis tree — see large.go), auto-selected
-// at DefaultLargeThreshold and forced via Solver.DistanceLarge. The
-// package-level Distance/DistanceFlow functions rent Solvers from an
-// internal pool and are safe for concurrent use; loops that compute
-// many distances from one goroutine should hold their own Solver
-// instead.
+// distances with zero steady-state allocations on one block-pricing
+// simplex (lazy cost rows, shrinking candidate refills, rooted basis
+// tree — see simplex.go) at every signature size. The package-level
+// Distance/DistanceFlow functions rent Solvers from an internal pool
+// and are safe for concurrent use; loops that compute many distances
+// from one goroutine should hold their own Solver instead.
 package emd
 
 import (

@@ -218,8 +218,7 @@ func TestExhaustiveSmallInstances(t *testing.T) {
 		{0, 1, 2, 3},     // equidistant: maximal reduced-cost ties
 		{0, 0, 1.5, 1.5}, // coincident pairs: zero-cost cells
 	}
-	classic := NewSolver(WithLargeThreshold(-1))
-	forced := NewSolver()
+	dflt := NewSolver()
 	tiny := NewSolver(WithPricingBlock(1))
 
 	instances := 0
@@ -271,14 +270,8 @@ func TestExhaustiveSmallInstances(t *testing.T) {
 					g := Manhattan
 
 					want := bruteEMD(t, s, u, g)
-					for name, sv := range map[string]*Solver{"classic": classic, "large": forced, "large/block=1": tiny} {
-						var got float64
-						var err error
-						if name == "classic" {
-							got, err = sv.Distance(s, u, g)
-						} else {
-							got, err = sv.DistanceLarge(s, u, g)
-						}
+					for name, sv := range map[string]*Solver{"default": dflt, "block=1": tiny} {
+						got, err := sv.Distance(s, u, g)
 						if err != nil {
 							t.Fatalf("m=%d n=%d combo=%d layout=%d %s: %v", m, n, combo, li, name, err)
 						}

@@ -8,7 +8,7 @@ import (
 	"repro/internal/signature"
 )
 
-// Differential fuzzing of the block-pricing solver rework. The fuzzers
+// Differential fuzzing of the block-pricing simplex. The fuzzers
 // decode a compact parameter tuple into a random signature pair —
 // K ∈ [1,64] per side, dimensions 1-3, optional zero-weight entries,
 // RawMass on/off — and cross-check every solver entry point against the
@@ -85,15 +85,7 @@ func FuzzSolverDistance(f *testing.F) {
 		want := referenceEMD(t, s, u, g)
 		tol := 1e-9 * (1 + math.Abs(want))
 
-		classic, err := NewSolver(WithLargeThreshold(-1)).Distance(s, u, g)
-		if err != nil {
-			t.Fatalf("classic solver: %v", err)
-		}
-		if math.Abs(classic-want) > tol {
-			t.Fatalf("classic solver %.17g vs reference %.17g (Δ=%g)", classic, want, classic-want)
-		}
-
-		large, err := NewSolver().DistanceLarge(s, u, g)
+		large, err := NewSolver().Distance(s, u, g)
 		if err != nil {
 			t.Fatalf("block-pricing solver: %v", err)
 		}
@@ -102,7 +94,7 @@ func FuzzSolverDistance(f *testing.F) {
 		}
 
 		// Exotic pricing blocks must not change the optimum either.
-		blocky, err := NewSolver(WithPricingBlock(1+int(kS)%7)).DistanceLarge(s, u, g)
+		blocky, err := NewSolver(WithPricingBlock(1+int(kS)%7)).Distance(s, u, g)
 		if err != nil {
 			t.Fatalf("block-pricing solver (block=%d): %v", 1+int(kS)%7, err)
 		}
@@ -110,7 +102,7 @@ func FuzzSolverDistance(f *testing.F) {
 			t.Fatalf("block-pricing solver (block=%d) %.17g vs reference %.17g", 1+int(kS)%7, blocky, want)
 		}
 
-		// The pooled package-level entry point (auto dispatch) too.
+		// The pooled package-level entry point too.
 		pkg, err := Distance(s, u, g)
 		if err != nil {
 			t.Fatalf("package Distance: %v", err)
@@ -119,22 +111,11 @@ func FuzzSolverDistance(f *testing.F) {
 			t.Fatalf("package Distance %.17g vs reference %.17g", pkg, want)
 		}
 
-		// Ground-cost caching must be bit-transparent on BOTH simplex
-		// paths: solve each fuzzed pair twice on a cached solver — the
-		// cold solve stores the cost matrix, the warm solve is served
-		// entirely from it — and require exact equality with the
-		// uncached value both times.
-		cc := NewSolver(WithLargeThreshold(-1), WithCostCache(2))
-		for pass := 0; pass < 2; pass++ {
-			got, err := cc.DistanceCached(s, u, g)
-			if err != nil {
-				t.Fatalf("cached classic (pass %d): %v", pass, err)
-			}
-			if got != classic {
-				t.Fatalf("cached classic (pass %d) %.17g != uncached %.17g (cache must be bit-transparent)", pass, got, classic)
-			}
-		}
-		cl := NewSolver(WithLargeThreshold(1), WithCostCache(2))
+		// Ground-cost caching must be bit-transparent: solve each fuzzed
+		// pair twice on a cached solver — the cold solve stores the cost
+		// matrix, the warm solve is served entirely from it — and require
+		// exact equality with the uncached value both times.
+		cl := NewSolver(WithCostCache(2))
 		for pass := 0; pass < 2; pass++ {
 			got, err := cl.DistanceCached(s, u, g)
 			if err != nil {
@@ -189,7 +170,7 @@ func FuzzSolverDistance(f *testing.F) {
 		if large < -tol || math.IsNaN(large) || math.IsInf(large, 0) {
 			t.Fatalf("block-pricing solver returned %g", large)
 		}
-		back, err := NewSolver().DistanceLarge(u, s, g)
+		back, err := NewSolver().Distance(u, s, g)
 		if err != nil {
 			t.Fatalf("reverse: %v", err)
 		}
@@ -218,7 +199,8 @@ func FuzzDistance1D(f *testing.F) {
 		}
 
 		// Distance must route balanced 1-D Euclidean pairs to the same
-		// closed form, bit for bit, on both solver configurations.
+		// closed form, bit for bit, through the pooled function with the
+		// nil ground and through a Solver with the explicit ground.
 		auto, err := Distance(s, u, nil)
 		if err != nil {
 			t.Fatalf("Distance: %v", err)
@@ -226,23 +208,23 @@ func FuzzDistance1D(f *testing.F) {
 		if auto != closed {
 			t.Fatalf("Distance %.17g != Distance1D %.17g", auto, closed)
 		}
-		forced, err := NewSolver().DistanceLarge(s, u, Euclidean)
+		explicit, err := NewSolver().Distance(s, u, Euclidean)
 		if err != nil {
-			t.Fatalf("DistanceLarge: %v", err)
+			t.Fatalf("Solver.Distance: %v", err)
 		}
-		if forced != closed {
-			t.Fatalf("DistanceLarge %.17g != Distance1D %.17g", forced, closed)
+		if explicit != closed {
+			t.Fatalf("Solver.Distance %.17g != Distance1D %.17g", explicit, closed)
 		}
 
 		// Against the seed-reference simplex: the closed form and the
 		// simplex are different algorithms, so the contract is 1e-7
-		// (see TestSolver1DFastPathMatchesSimplex); the simplex paths
-		// themselves must agree with the reference at 1e-9.
+		// (see TestSolver1DFastPathMatchesSimplex); the simplex itself
+		// must agree with the reference at 1e-9.
 		want := referenceEMD(t, s, u, Euclidean)
 		if math.Abs(closed-want) > 1e-7*(1+want) {
 			t.Fatalf("closed form %.17g vs reference simplex %.17g", closed, want)
 		}
-		viaSimplex, err := NewSolver().DistanceLarge(s, u, Manhattan) // 1-D: L1 == L2 ground, but forces the simplex
+		viaSimplex, err := NewSolver().Distance(s, u, Manhattan) // 1-D: L1 == L2 ground, but forces the simplex
 		if err != nil {
 			t.Fatalf("simplex route: %v", err)
 		}

@@ -9,44 +9,23 @@ import (
 	"repro/internal/signature"
 )
 
-// DefaultLargeThreshold is the signature size (max of the two lengths)
-// at which Distance auto-selects the block-pricing large path: below it
-// the classic full-refill pricing is used bit-for-bit unchanged, at or
-// above it the solver switches to cyclic block pricing over a lazily
-// computed cost matrix. Override per Solver with WithLargeThreshold.
-const DefaultLargeThreshold = 128
-
 // DefaultPricingBlock is the number of consecutive cost-matrix rows one
-// pricing block covers on the large path. A refill scans blocks
-// cyclically from where the previous refill stopped and stops at the
-// first block that yields a candidate, so the steady-state refill cost
-// is O(block·n) instead of the classic O(m·n) full sweep. Override per
-// Solver with WithPricingBlock.
+// pricing block covers. A refill scans blocks cyclically from where the
+// previous refill stopped and stops once it has a candidate and has
+// refreshed a quarter of the rows, so the steady-state refill cost is a
+// fraction of a full O(m·n) sweep. Override per Solver with
+// WithPricingBlock.
 const DefaultPricingBlock = 16
 
 // A SolverOption configures a Solver at construction.
 type SolverOption func(*Solver)
 
-// WithLargeThreshold sets the signature size at which Distance switches
-// to the block-pricing large path: 0 keeps DefaultLargeThreshold, a
-// negative value disables automatic selection (DistanceLarge still
-// forces the path explicitly), and any positive value is the threshold.
-//
-// Both paths solve the same transportation problem exactly, so the
-// optimal cost agrees to rounding (the conformance suite asserts 1e-9),
-// but degenerate instances admit multiple optimal bases and the two
-// pricing orders may settle on different ones — the returned distances
-// can differ in the last bits. Pipelines that promise bit-identical
-// output across runs must therefore use the same threshold on every
-// run (the engine snapshot fingerprint records it).
-func WithLargeThreshold(k int) SolverOption {
-	return func(sv *Solver) { sv.largeK = k }
-}
-
-// WithPricingBlock sets the number of rows per pricing block on the
-// large path (0 keeps DefaultPricingBlock). Like the threshold, the
-// block size selects which optimal basis degenerate instances settle
-// on, so it must be held fixed where bit-identity is promised.
+// WithPricingBlock sets the number of rows per pricing block (0 keeps
+// DefaultPricingBlock). Every block size reaches the same optimal cost
+// to rounding, but the block size selects which optimal basis
+// degenerate instances settle on — the returned distances can differ in
+// the last bits — so it must be held fixed where bit-identity is
+// promised.
 func WithPricingBlock(rows int) SolverOption {
 	return func(sv *Solver) {
 		if rows > 0 {
@@ -57,7 +36,7 @@ func WithPricingBlock(rows int) SolverOption {
 
 // WithCostCache attaches a fresh ground-cost cache with the given number
 // of slots at construction (<= 0 selects DefaultCostCacheSlots). Unlike
-// the threshold and block-size knobs, caching is bit-transparent —
+// the block-size knob, caching is bit-transparent —
 // every solve produces the identical floats with the cache on or off —
 // so it never participates in snapshot fingerprints.
 //
@@ -71,8 +50,7 @@ func WithCostCache(slots int) SolverOption {
 }
 
 // SetCostCache attaches c to the solver — every subsequent solve
-// (Distance, DistanceValidated, DistanceLarge, DistanceFlow,
-// DistanceCached) consults it. Passing nil detaches caching. Batch
+// (Distance, DistanceValidated, DistanceFlow, DistanceCached) consults it. Passing nil detaches caching. Batch
 // drivers that Prewarm share nothing: the cache, like the solver, must
 // be per-worker.
 func (sv *Solver) SetCostCache(c *CostCache) { sv.cache = c }
@@ -82,17 +60,12 @@ func (sv *Solver) CostCache() *CostCache { return sv.cache }
 
 // Solver is a reusable transportation-simplex workspace. All scratch
 // state — the flat row-major cost matrix, the basis tree, the MODI
-// potentials, and the BFS buffers — is owned by the Solver and recycled
-// across calls, so a warm Solver computes EMDs with zero steady-state
-// allocations (Distance) or a single output allocation (DistanceFlow).
-//
-// Two simplex paths share the workspace. The classic path (small
-// signatures) materializes the full cost matrix up front and refills
-// its per-row pricing candidates with a full O(m·n) sweep. The large
-// path (block pricing, selected automatically at DefaultLargeThreshold
-// or forced via DistanceLarge) computes cost rows lazily as pricing
-// first touches them and refills candidates one block of rows at a
-// time, resuming where the previous refill stopped.
+// potentials, the pricing queues and the BFS buffers — is owned by the
+// Solver and recycled across calls, so a warm Solver computes EMDs with
+// zero steady-state allocations (Distance) or a single output
+// allocation (DistanceFlow). The simplex (simplex.go) computes cost
+// rows lazily as pricing first touches them and refills candidates one
+// block of rows at a time, resuming where the previous refill stopped.
 //
 // A Solver is not safe for concurrent use; give each goroutine its own
 // (the package-level Distance/DistanceFlow functions rent Solvers from a
@@ -123,24 +96,14 @@ type Solver struct {
 	u, v       []float64
 	uSet, vSet []bool
 
-	// BFS scratch for potentials and cycle search over the m+n tree nodes.
-	queue   []int
-	parent  []int // basis index used to reach each node
-	visited []bool
-	path    []int
-
-	// Per-row pricing candidates: cand[i] is the column of the most
-	// negative cell seen in row i at the last refill scan, −1 if none.
-	cand []int
+	// BFS queue over the m+n tree nodes, and the pivot cycle.
+	queue []int
+	path  []int
 
 	// Scratch for the 1-D closed-form fast path.
 	events []ev1d
 
-	// --- Large-signature (block-pricing) path ---------------------------
-
-	// Configuration: auto-select threshold (0 = DefaultLargeThreshold,
-	// < 0 = never) and rows per pricing block (0 = DefaultPricingBlock).
-	largeK int
+	// Rows per pricing block (0 = DefaultPricingBlock).
 	priceB int
 
 	// Lazy cost-matrix state: the ground function and the filtered
@@ -156,8 +119,8 @@ type Solver struct {
 	lazyN0       int
 	lazyDummyCol bool
 
-	// basisC[k] is the ground cost of basis cell k (large path only);
-	// potentials and the objective read it instead of the cost matrix.
+	// basisC[k] is the ground cost of basis cell k; potentials and the
+	// objective read it instead of the cost matrix.
 	basisC []float64
 
 	// blockCur is the pricing-block cursor: the next refill resumes
@@ -165,7 +128,7 @@ type Solver struct {
 	// sweeps every block without finding a candidate proves optimality.
 	blockCur int
 
-	// Rooted basis-tree structure (large path only): parent node and
+	// Rooted basis-tree structure: parent node and
 	// connecting basis arc per tree node (rows are nodes [0,m), columns
 	// [m,m+n)), plus BFS depth. Maintained incrementally per pivot so a
 	// pivot costs O(cycle + detached subtree) instead of two O(m+n)
@@ -179,12 +142,11 @@ type Solver struct {
 	// --- Cost amortization (CostCache) ----------------------------------
 
 	// cache is the attached ground-cost cache (nil = no caching). cEnt is
-	// the entry checked out for the in-flight large-path solve; the
-	// classic path completes eagerly and never holds one across calls.
+	// the entry checked out for the in-flight solve.
 	cache *CostCache
 	cEnt  *costEntry
 
-	// Per-block candidate queues (large path): blkQ holds nblk segments
+	// Per-block candidate queues: blkQ holds nblk segments
 	// of bsz packed (i<<32 | j) cells each, blkQn the live count per
 	// block, qCur the cyclic drain cursor. Candidates priced by a refill
 	// but not pivoted are retained here instead of being rediscovered by
@@ -194,10 +156,10 @@ type Solver struct {
 	blkQn []int
 	qCur  int
 
-	// Per-solve pivot/refill-row counters, reset by both solve paths.
-	// They cost two increments per pivot and feed Stats (the solverscale
-	// experiment reports them; tests use them to assert the large path
-	// actually scans fewer cells).
+	// Per-solve pivot/refill-row counters, reset by stageSimplex. They
+	// cost two increments per pivot and feed Stats (the solverscale
+	// experiment reports them; tests use them to assert that refills
+	// scan fewer cells than full sweeps would).
 	statPivots     int
 	statRefillRows int
 
@@ -226,8 +188,8 @@ type SolverStats struct {
 	// the attached CostCache; both are zero when no cache is attached.
 	CacheHits   int
 	CacheMisses int
-	// CandReuse counts pivots on the large path that were served from the
-	// retained per-block candidate queues without any refill scan.
+	// CandReuse counts pivots that were served from the retained
+	// per-block candidate queues without any refill scan.
 	CandReuse int
 }
 
@@ -287,19 +249,14 @@ func (sv *Solver) Prewarm(k int) {
 	if cap(sv.queue) < m+n {
 		sv.queue = make([]int, 0, m+n)
 	}
-	sv.parent = growInts(sv.parent, m+n)
-	sv.visited = growBools(sv.visited, m+n)
 	if cap(sv.path) < nb {
 		sv.path = make([]int, 0, nb)
 	}
-	sv.cand = growInts(sv.cand, m)
 	if cap(sv.events) < 2*k {
 		sv.events = make([]ev1d, 2*k)
 	}
-	// Large-path scratch: per-row lazy-fill flags, basis-cell costs, the
-	// filtered center views, and the rooted basis-tree arrays, so even
-	// the first DistanceLarge call on a prewarmed solver is
-	// allocation-free.
+	// Per-row lazy-fill flags, basis-cell costs, the filtered center
+	// views, and the rooted basis-tree arrays.
 	sv.rowReady = growBools(sv.rowReady, m)
 	sv.basisC = growFloats(sv.basisC, nb)
 	sv.lazySrcC = growCenters(sv.lazySrcC, k)
@@ -314,10 +271,7 @@ func (sv *Solver) Prewarm(k int) {
 		sv.cycB = make([]int, 0, nb)
 	}
 	// Candidate-queue segments: one bsz-capacity queue per pricing block.
-	bsz := sv.priceB
-	if bsz <= 0 {
-		bsz = DefaultPricingBlock
-	}
+	bsz := sv.pricingBlock()
 	nblk := (m + bsz - 1) / bsz
 	sv.blkQ = growInt64s(sv.blkQ, nblk*bsz)
 	sv.blkQn = growInts(sv.blkQn, nblk)
@@ -371,7 +325,7 @@ func (sv *Solver) DistanceValidated(s, t signature.Signature, g Ground) (float64
 // and attached first, then the call proceeds exactly as Distance. The
 // returned floats are bit-identical to an uncached Distance on the same
 // inputs — the cache stores the exact values the ground function
-// returned and the solver replays the identical comparison sequence —
+// returned and the solver derives the identical pricing tolerance —
 // so callers may mix DistanceCached and Distance freely. The win is on
 // repeats: once a support pair's cost rows are cached, re-solves of the
 // same supports (the detector window, histogram/grid builders, pairwise
@@ -394,23 +348,7 @@ func (sv *Solver) DistanceCached(s, t signature.Signature, g Ground) (float64, e
 	return sv.distance(s, t, g)
 }
 
-// largeEligible reports whether Distance auto-selects the block-pricing
-// path for this pair: either signature at or above the threshold. The
-// raw lengths (not the zero-weight-filtered sizes) decide, so the
-// choice is a cheap, predictable function of the inputs.
-func (sv *Solver) largeEligible(s, t signature.Signature) bool {
-	th := sv.largeK
-	if th == 0 {
-		th = DefaultLargeThreshold
-	}
-	if th < 0 {
-		return false
-	}
-	return s.Len() >= th || t.Len() >= th
-}
-
-// distance dispatches a validated pair onto the closed form or one of
-// the two simplex paths.
+// distance routes a validated pair onto the closed form or the simplex.
 func (sv *Solver) distance(s, t signature.Signature, g Ground) (float64, error) {
 	defer sv.publishStats()
 	if s.Dim() == 1 && euclideanGround(g) {
@@ -422,53 +360,11 @@ func (sv *Solver) distance(s, t signature.Signature, g Ground) (float64, error) 
 	if g == nil {
 		g = Euclidean
 	}
-	if sv.largeEligible(s, t) {
-		return sv.simplexLarge(s, t, g)
-	}
 	amount, err := sv.prepare(s, t, g)
 	if err != nil {
 		return 0, err
 	}
 	totalCost, err := sv.solve()
-	if err != nil {
-		return 0, err
-	}
-	if amount <= 0 {
-		return 0, nil
-	}
-	return totalCost / amount, nil
-}
-
-// DistanceLarge is Distance with the block-pricing large-signature path
-// forced regardless of the solver's threshold. The exact 1-D
-// closed-form fast path still applies (it is cheaper and exact at any
-// size); only the simplex route changes. Use it when signatures hover
-// below the auto-select threshold but the workload is known to be
-// refill-bound, or to pin the pricing strategy in differential tests.
-func (sv *Solver) DistanceLarge(s, t signature.Signature, g Ground) (float64, error) {
-	if err := validatePair(s, t); err != nil {
-		return 0, err
-	}
-	defer sv.publishStats()
-	if s.Dim() == 1 && euclideanGround(g) {
-		ws, wt := s.TotalWeight(), t.TotalWeight()
-		if balancedTotals(ws, wt) {
-			return sv.distance1DTotals(s, t, ws, wt), nil
-		}
-	}
-	if g == nil {
-		g = Euclidean
-	}
-	return sv.simplexLarge(s, t, g)
-}
-
-// simplexLarge runs the block-pricing simplex on a validated pair.
-func (sv *Solver) simplexLarge(s, t signature.Signature, g Ground) (float64, error) {
-	amount, err := sv.prepareLarge(s, t, g)
-	if err != nil {
-		return 0, err
-	}
-	totalCost, err := sv.solveLarge()
 	if err != nil {
 		return 0, err
 	}
@@ -491,21 +387,11 @@ func (sv *Solver) DistanceFlow(s, t signature.Signature, g Ground) (*Result, err
 	if g == nil {
 		g = Euclidean
 	}
-	var amount, totalCost float64
-	var err error
-	if sv.largeEligible(s, t) {
-		// The flow extraction below only reads the basis, which both
-		// simplex paths leave in the same buffers.
-		amount, err = sv.prepareLarge(s, t, g)
-		if err == nil {
-			totalCost, err = sv.solveLarge()
-		}
-	} else {
-		amount, err = sv.prepare(s, t, g)
-		if err == nil {
-			totalCost, err = sv.solve()
-		}
+	amount, err := sv.prepare(s, t, g)
+	if err != nil {
+		return nil, err
 	}
+	totalCost, err := sv.solve()
 	if err != nil {
 		return nil, err
 	}
@@ -584,14 +470,13 @@ func (sv *Solver) distance1DTotals(s, t signature.Signature, totS, totT float64)
 
 // stageProblem filters zero-weight entries, decides the balancing dummy
 // (a zero-cost node on the deficient side, Eq. 9-11), sets the problem
-// dimensions, and stages the supply/demand vectors. It is the shared
-// front half of the eager (prepare) and lazy (prepareLarge) paths and
-// returns the total moved amount min(ΣW, ΣW′) plus the filtered sizes
-// and dummy placement the cost-matrix half needs.
+// dimensions, and stages the supply/demand vectors. It is the front
+// half of prepare and returns the total moved amount min(ΣW, ΣW′) plus
+// the filtered sizes and dummy placement the cost-matrix half needs.
 func (sv *Solver) stageProblem(s, t signature.Signature) (amount float64, m0, n0 int, dummyRow, dummyCol bool, err error) {
 	// Reset the amortization counters here rather than in the simplex
-	// stages: prepare/prepareLarge perform ground evaluations (and cache
-	// traffic) before any stage function runs.
+	// stages: prepare performs ground evaluations (and cache traffic)
+	// before any stage function runs.
 	sv.statGroundEvals, sv.statCacheHits, sv.statCacheMisses, sv.statCandReuse = 0, 0, 0, 0
 	sv.srcIdx = sv.srcIdx[:0]
 	totS := 0.0
@@ -651,74 +536,13 @@ func (sv *Solver) stageProblem(s, t signature.Signature) (amount float64, m0, n0
 	return amount, m0, n0, dummyRow, dummyCol, nil
 }
 
-// prepare stages the problem and eagerly builds the full flat cost
-// matrix — the classic path for small signatures, where the matrix is
-// cheap and every cell is scanned by pricing anyway.
-func (sv *Solver) prepare(s, t signature.Signature, g Ground) (float64, error) {
-	amount, m0, n0, dummyRow, dummyCol, err := sv.stageProblem(s, t)
-	if err != nil {
-		return 0, err
-	}
-	n := sv.n
-	sv.cost = growFloats(sv.cost, sv.m*n)
-	var ent *costEntry
-	if sv.cache != nil {
-		ent = sv.cache.acquire(s, t, sv.srcIdx, sv.dstIdx, s.Dim(), groundPtr(g))
-	}
-	maxCost := 0.0
-	for i := 0; i < m0; i++ {
-		row := sv.cost[i*n : (i+1)*n]
-		if ent != nil && ent.rowDone[i] {
-			// Cache hit: copy the stored row, then replay the identical
-			// maxCost comparison sequence over the identical floats so the
-			// pricing tolerance evolves exactly as in an uncached solve.
-			copy(row[:n0], ent.cost[i*n0:(i+1)*n0])
-			for j := 0; j < n0; j++ {
-				if d := row[j]; d > maxCost {
-					maxCost = d
-				}
-			}
-			sv.statCacheHits += n0
-		} else {
-			ci := s.Centers[sv.srcIdx[i]]
-			for j := 0; j < n0; j++ {
-				d := g(ci, t.Centers[sv.dstIdx[j]])
-				if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
-					return 0, fmt.Errorf("emd: ground distance returned %g", d)
-				}
-				row[j] = d
-				if d > maxCost {
-					maxCost = d
-				}
-			}
-			sv.statGroundEvals += n0
-			if ent != nil {
-				copy(ent.cost[i*n0:(i+1)*n0], row[:n0])
-				ent.rowDone[i] = true
-				sv.statCacheMisses += n0
-			}
-		}
-		if dummyCol {
-			row[n0] = 0
-		}
-	}
-	if dummyRow {
-		row := sv.cost[m0*n : (m0+1)*n]
-		for j := range row {
-			row[j] = 0
-		}
-	}
-	sv.maxCost = maxCost
-	return amount, nil
-}
-
-// prepareLarge stages the problem for the block-pricing path: the cost
-// matrix backing store is sized but NOT filled — rows are computed on
+// prepare stages the problem for the simplex: the cost matrix backing
+// store is sized but NOT filled — rows are computed on
 // first touch by a pricing block (fillRow), and basis-cell costs are
 // carried separately (basisC), so a K=512 pair whose pivots touch only
 // a fraction of the matrix never pays the full 512×512 ground-distance
 // sweep up front.
-func (sv *Solver) prepareLarge(s, t signature.Signature, g Ground) (float64, error) {
+func (sv *Solver) prepare(s, t signature.Signature, g Ground) (float64, error) {
 	amount, m0, n0, dummyRow, dummyCol, err := sv.stageProblem(s, t)
 	if err != nil {
 		return 0, err
@@ -744,20 +568,6 @@ func (sv *Solver) prepareLarge(s, t signature.Signature, g Ground) (float64, err
 	if sv.cache != nil {
 		sv.cEnt = sv.cache.acquire(s, t, sv.srcIdx, sv.dstIdx, s.Dim(), groundPtr(g))
 	}
-	// Candidate queues: one bsz-capacity segment per pricing block, all
-	// empty at the start of a solve (queued cells reference the potentials
-	// of the solve that priced them).
-	bsz := sv.priceB
-	if bsz <= 0 {
-		bsz = DefaultPricingBlock
-	}
-	nblk := (m + bsz - 1) / bsz
-	sv.blkQ = growInt64s(sv.blkQ, nblk*bsz)
-	sv.blkQn = growInts(sv.blkQn, nblk)
-	for b := 0; b < nblk; b++ {
-		sv.blkQn[b] = 0
-	}
-	sv.qCur = 0
 	if dummyRow {
 		row := sv.cost[m0*n : (m0+1)*n]
 		for j := range row {
@@ -771,11 +581,10 @@ func (sv *Solver) prepareLarge(s, t signature.Signature, g Ground) (float64, err
 	// and the optimality certificate is issued by a full block sweep
 	// after every row has been computed.
 	sv.maxCost = 0
-	sv.blockCur = 0
 	return amount, nil
 }
 
-// releaseLazy drops the center views captured by prepareLarge so a
+// releaseLazy drops the center views captured by prepare so a
 // pooled solver does not pin the last pair's signature data. The cache
 // entry checkout is dropped too — entries are only valid within the
 // solve that acquired them (a later acquire may evict or rebuild them).
@@ -791,21 +600,19 @@ func (sv *Solver) releaseLazy() {
 }
 
 // fillRow computes cost row i of the lazy matrix (all real columns plus
-// the zero dummy column) and marks it ready. A cached row is copied and
-// its maxCost comparisons replayed in the identical order, so tolerance
-// evolution is bit-identical to the uncached solve.
+// the zero dummy column), raises maxCost to the row's maximum and marks
+// the row ready. A cached row is copied and raises maxCost by its stored
+// maximum: the costs are never NaN, so that is the exact float the
+// uncached row's comparisons arrive at, and tolerance evolution is
+// bit-identical to the uncached solve.
 func (sv *Solver) fillRow(i int) error {
 	n := sv.n
 	n0 := sv.lazyN0
 	row := sv.cost[i*n : (i+1)*n]
-	maxCost := sv.maxCost
+	rowMax := 0.0
 	if ent := sv.cEnt; ent != nil && ent.rowDone[i] {
 		copy(row[:n0], ent.cost[i*n0:(i+1)*n0])
-		for j := 0; j < n0; j++ {
-			if d := row[j]; d > maxCost {
-				maxCost = d
-			}
-		}
+		rowMax = ent.rowMax[i]
 		sv.statCacheHits += n0
 	} else {
 		ci := sv.lazySrcC[i]
@@ -816,13 +623,14 @@ func (sv *Solver) fillRow(i int) error {
 				return fmt.Errorf("emd: ground distance returned %g", d)
 			}
 			row[j] = d
-			if d > maxCost {
-				maxCost = d
+			if d > rowMax {
+				rowMax = d
 			}
 		}
 		sv.statGroundEvals += n0
 		if ent := sv.cEnt; ent != nil {
 			copy(ent.cost[i*n0:(i+1)*n0], row[:n0])
+			ent.rowMax[i] = rowMax
 			ent.rowDone[i] = true
 			sv.statCacheMisses += n0
 		}
@@ -830,7 +638,9 @@ func (sv *Solver) fillRow(i int) error {
 	if sv.lazyDummyCol {
 		row[n0] = 0
 	}
-	sv.maxCost = maxCost
+	if rowMax > sv.maxCost {
+		sv.maxCost = rowMax
+	}
 	sv.rowReady[i] = true
 	return nil
 }

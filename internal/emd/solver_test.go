@@ -437,7 +437,9 @@ func TestExplicitEuclideanTakesFastPath(t *testing.T) {
 }
 
 // TestSolverReuseAcrossSizes stresses buffer reuse: interleave problems of
-// very different sizes and dimensions on one Solver.
+// very different sizes and dimensions on one Solver. The pricing queues
+// and cursors are reset per solve, so the warm solver must return the
+// same bits as a fresh one: no history leaks between calls.
 func TestSolverReuseAcrossSizes(t *testing.T) {
 	rng := randx.New(777)
 	sv := NewSolver()
@@ -454,6 +456,13 @@ func TestSolverReuseAcrossSizes(t *testing.T) {
 		want := referenceEMD(t, s, u, Euclidean)
 		if math.Abs(got-want) > 1e-9*(1+want) {
 			t.Fatalf("trial %d (K=%d): %.15g vs %.15g", trial, k, got, want)
+		}
+		fresh, err := NewSolver().Distance(s, u, Euclidean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != fresh {
+			t.Fatalf("trial %d (K=%d): warm solver %.17g != fresh solver %.17g", trial, k, got, fresh)
 		}
 	}
 }

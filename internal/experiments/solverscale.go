@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
@@ -11,7 +10,7 @@ import (
 	"repro/internal/signature"
 )
 
-// SolverScaleOptions sizes the large-signature solver study.
+// SolverScaleOptions sizes the solver cost-amortization study.
 type SolverScaleOptions struct {
 	// Ks are the signature sizes to sweep (default 32, 64, 128, 256).
 	Ks []int
@@ -34,30 +33,24 @@ func (o *SolverScaleOptions) defaults() {
 	}
 }
 
-// SolverScaleRow is one K of the study: mean per-distance time for the
-// classic full-refill solver and the block-pricing solver, their pivot
-// and refill-row counts, and the largest relative cost disagreement
-// observed (must sit inside the 1e-9 conformance envelope).
+// SolverScaleRow is one K of the study: mean per-distance time of a
+// cold (uncached) solve and of a warm re-solve with a ground-cost
+// cache, plus the solver's work counters.
 type SolverScaleRow struct {
-	K              int
-	ClassicPerOp   time.Duration
-	LargePerOp     time.Duration
-	CachedPerOp    time.Duration // warm re-solve with a ground-cost cache
-	Speedup        float64
-	CachedSpeedup  float64 // uncached path time / cached warm re-solve time
-	ClassicPivots  int
-	LargePivots    int
-	ClassicRefills int // refill rows scanned (each prices ~K cells)
-	LargeRefills   int
+	K             int
+	PerOp         time.Duration // uncached solve
+	CachedPerOp   time.Duration // warm re-solve with a ground-cost cache
+	CachedSpeedup float64       // PerOp / CachedPerOp
+	Pivots        int
+	RefillRows    int // refill rows scanned (each prices ~K cells)
 	// Cost-amortization counters: ground evaluations performed by the
 	// uncached solves vs the cached warm re-solves (the latter must be
 	// zero — every cell is served from the cache), cache cells served,
-	// and large-path pivots fed from the retained candidate queues.
+	// and pivots fed from the retained candidate queues.
 	UncachedGroundEvals int
 	CachedGroundEvals   int
 	CacheHits           int
 	CandReuse           int
-	MaxRelDiff          float64
 }
 
 // SolverScaleResult is the report of the solver-scaling experiment.
@@ -66,62 +59,46 @@ type SolverScaleResult struct {
 	Report string
 }
 
-// SolverScale measures the block-pricing large-signature EMD path
-// against the classic full-refill solver on identical random signature
-// pairs, verifying on every pair that the two optimal costs agree
-// within 1e-9. It is the `repro -exp solverscale` driver: the numbers
-// demonstrate where the DefaultLargeThreshold crossover sits on the
-// running machine and that the conformance contract holds at scale.
+// SolverScale times the EMD simplex on random signature pairs across
+// signature sizes, uncached and as a warm re-solve with a ground-cost
+// cache, verifying on every pair that the cached value is bit-identical
+// to the uncached one and needed zero ground evaluations. It backs
+// `repro -exp solverscale`.
 func SolverScale(seed int64, opts SolverScaleOptions) (*SolverScaleResult, error) {
 	opts.defaults()
 	rng := randx.New(seed)
 	res := &SolverScaleResult{}
 
-	classic := emd.NewSolver(emd.WithLargeThreshold(-1))
-	large := emd.NewSolver()
-	cached := emd.NewSolver() // default dispatch + ground-cost cache
+	plain := emd.NewSolver()
+	cached := emd.NewSolver(emd.WithCostCache(0))
 
 	for _, k := range opts.Ks {
 		row := SolverScaleRow{K: k}
-		var classicTotal, largeTotal, cachedTotal time.Duration
+		var plainTotal, cachedTotal time.Duration
 		for p := 0; p < opts.Pairs; p++ {
 			s := solverScaleSig(rng, k, opts.Dim)
 			u := solverScaleSig(rng, k, opts.Dim)
 
 			start := time.Now()
-			cv, err := classic.Distance(s, u, emd.Euclidean)
+			want, err := plain.Distance(s, u, emd.Euclidean)
 			if err != nil {
-				return nil, fmt.Errorf("solverscale: classic K=%d: %w", k, err)
+				return nil, fmt.Errorf("solverscale: K=%d: %w", k, err)
 			}
-			classicTotal += time.Since(start)
-			cs := classic.Stats()
-			row.ClassicPivots += cs.Pivots
-			row.ClassicRefills += cs.RefillRows
-			row.UncachedGroundEvals += cs.GroundEvals
-
-			start = time.Now()
-			lv, err := large.DistanceLarge(s, u, emd.Euclidean)
-			if err != nil {
-				return nil, fmt.Errorf("solverscale: block-pricing K=%d: %w", k, err)
-			}
-			largeTotal += time.Since(start)
-			ls := large.Stats()
-			row.LargePivots += ls.Pivots
-			row.LargeRefills += ls.RefillRows
-			row.UncachedGroundEvals += ls.GroundEvals
-			row.CandReuse += ls.CandReuse
+			plainTotal += time.Since(start)
+			ps := plain.Stats()
+			row.Pivots += ps.Pivots
+			row.RefillRows += ps.RefillRows
+			row.UncachedGroundEvals += ps.GroundEvals
+			row.CandReuse += ps.CandReuse
 
 			// Cached column: prime the cache with one solve of the pair,
 			// then time the warm re-solve — the repeat-heavy shape of the
-			// detector window and the pairwise tiles. The warm value must
-			// be bit-identical to the uncached path the solver's dispatch
-			// selects (classic below the threshold, block-pricing at or
-			// above), and must perform zero ground evaluations.
-			if _, err := cached.DistanceCached(s, u, emd.Euclidean); err != nil {
+			// detector window and the pairwise tiles.
+			if _, err := cached.Distance(s, u, emd.Euclidean); err != nil {
 				return nil, fmt.Errorf("solverscale: cache prime K=%d: %w", k, err)
 			}
 			start = time.Now()
-			wv, err := cached.DistanceCached(s, u, emd.Euclidean)
+			wv, err := cached.Distance(s, u, emd.Euclidean)
 			if err != nil {
 				return nil, fmt.Errorf("solverscale: cached K=%d: %w", k, err)
 			}
@@ -129,66 +106,36 @@ func SolverScale(seed int64, opts SolverScaleOptions) (*SolverScaleResult, error
 			ws := cached.Stats()
 			row.CachedGroundEvals += ws.GroundEvals
 			row.CacheHits += ws.CacheHits
-			want := cv
-			if k >= emd.DefaultLargeThreshold {
-				want = lv
-			}
 			if wv != want {
 				return nil, fmt.Errorf("solverscale: K=%d pair %d: cached %.17g != uncached %.17g (cache must be bit-transparent)", k, p, wv, want)
 			}
 			if ws.GroundEvals != 0 {
 				return nil, fmt.Errorf("solverscale: K=%d pair %d: warm cached re-solve performed %d ground evals, want 0", k, p, ws.GroundEvals)
 			}
-
-			rel := math.Abs(cv-lv) / (1 + math.Abs(cv))
-			if rel > row.MaxRelDiff {
-				row.MaxRelDiff = rel
-			}
-			if rel > 1e-9 {
-				return nil, fmt.Errorf("solverscale: K=%d pair %d: classic %.17g vs block-pricing %.17g (rel %.3g > 1e-9)", k, p, cv, lv, rel)
-			}
 		}
-		row.ClassicPerOp = classicTotal / time.Duration(opts.Pairs)
-		row.LargePerOp = largeTotal / time.Duration(opts.Pairs)
+		row.PerOp = plainTotal / time.Duration(opts.Pairs)
 		row.CachedPerOp = cachedTotal / time.Duration(opts.Pairs)
-		if row.LargePerOp > 0 {
-			row.Speedup = float64(row.ClassicPerOp) / float64(row.LargePerOp)
-		}
-		uncachedPerOp := row.ClassicPerOp
-		if k >= emd.DefaultLargeThreshold {
-			uncachedPerOp = row.LargePerOp
-		}
 		if row.CachedPerOp > 0 {
-			row.CachedSpeedup = float64(uncachedPerOp) / float64(row.CachedPerOp)
+			row.CachedSpeedup = float64(row.PerOp) / float64(row.CachedPerOp)
 		}
 		res.Rows = append(res.Rows, row)
 	}
 
 	var b strings.Builder
-	b.WriteString(header("Solver scaling: classic full-refill vs block-pricing EMD simplex"))
-	fmt.Fprintf(&b, "\n%d pairs per K, %d-D centers, auto threshold %d (repro.WithEMDLargeThreshold overrides)\n\n",
-		opts.Pairs, opts.Dim, emd.DefaultLargeThreshold)
-	fmt.Fprintf(&b, "%6s  %14s  %14s  %8s  %18s  %22s  %10s\n",
-		"K", "classic/op", "block/op", "speedup", "pivots (c->b)", "refill rows (c->b)", "max rel Δ")
+	b.WriteString(header("Solver scaling: EMD simplex cost amortization"))
+	fmt.Fprintf(&b, "\n%d pairs per K, %d-D centers; uncached solve vs warm re-solve\n", opts.Pairs, opts.Dim)
+	b.WriteString("of each pair with a ground-cost cache:\n\n")
+	fmt.Fprintf(&b, "%6s  %12s  %12s  %8s  %8s  %12s  %12s  %12s  %10s  %10s\n",
+		"K", "uncached/op", "cached/op", "speedup", "pivots", "refill rows", "ground evals", "cached evals", "cache hits", "queue hits")
 	for _, r := range res.Rows {
-		fmt.Fprintf(&b, "%6d  %14s  %14s  %7.2fx  %8d -> %7d  %10d -> %9d  %10.2g\n",
-			r.K, r.ClassicPerOp.Round(time.Microsecond), r.LargePerOp.Round(time.Microsecond),
-			r.Speedup, r.ClassicPivots, r.LargePivots, r.ClassicRefills, r.LargeRefills, r.MaxRelDiff)
+		fmt.Fprintf(&b, "%6d  %12s  %12s  %7.2fx  %8d  %12d  %12d  %12d  %10d  %10d\n",
+			r.K, r.PerOp.Round(time.Microsecond), r.CachedPerOp.Round(time.Microsecond), r.CachedSpeedup,
+			r.Pivots, r.RefillRows, r.UncachedGroundEvals, r.CachedGroundEvals, r.CacheHits, r.CandReuse)
 	}
-	b.WriteString("\nCost amortization (warm re-solve of each pair with a ground-cost cache,\n")
-	b.WriteString("vs the uncached path the solver's dispatch selects for that K):\n\n")
-	fmt.Fprintf(&b, "%6s  %14s  %8s  %14s  %12s  %12s  %10s\n",
-		"K", "cached/op", "speedup", "ground evals", "cached evals", "cache hits", "queue hits")
-	for _, r := range res.Rows {
-		fmt.Fprintf(&b, "%6d  %14s  %7.2fx  %14d  %12d  %12d  %10d\n",
-			r.K, r.CachedPerOp.Round(time.Microsecond), r.CachedSpeedup,
-			r.UncachedGroundEvals, r.CachedGroundEvals, r.CacheHits, r.CandReuse)
-	}
-	b.WriteString("\nEvery pair's optimal cost agreed within 1e-9, every warm cached\n")
-	b.WriteString("re-solve was bit-identical to its uncached path with zero ground\n")
-	b.WriteString("evaluations; the conformance suite (FuzzSolverDistance, exhaustive\n")
-	b.WriteString("small-instance enumeration, golden detector trace) pins the same\n")
-	b.WriteString("contract in CI.\n")
+	b.WriteString("\nEvery warm cached re-solve was bit-identical to its uncached solve\n")
+	b.WriteString("with zero ground evaluations; the conformance suite\n")
+	b.WriteString("(FuzzSolverDistance, exhaustive small-instance enumeration, golden\n")
+	b.WriteString("detector trace) pins the solver's optimality contract in CI.\n")
 	res.Report = b.String()
 	return res, nil
 }

@@ -208,16 +208,22 @@ func streamsOwnedBy(r *Router, member string, n int) []string {
 
 // TestRouterPushEquivalence: rows fan out across a 3-member fleet and
 // come back in input order, every scored row bit-identical to a
-// standalone single-engine run of the same streams.
+// standalone single-engine run of the same streams. The members listen
+// on random ports, which move the ring, so the ids are picked by owner:
+// two per member, interleaved, so every batch spans the whole fleet.
 func TestRouterPushEquivalence(t *testing.T) {
 	f := newFleet(t, 3)
-	ids := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
-	owners := make(map[string]bool)
-	for _, id := range ids {
-		owners[f.router.Owner(id)] = true
+	owned := make([][]string, len(f.members))
+	for k, m := range f.members {
+		if owned[k] = streamsOwnedBy(f.router, m.URL, 2); len(owned[k]) != 2 {
+			t.Fatalf("could not pick two ids owned by %s", m.URL)
+		}
 	}
-	if len(owners) < 2 {
-		t.Fatalf("test ids all landed on one member; pick better ids (owners %v)", owners)
+	var ids []string
+	for i := 0; i < 2; i++ {
+		for _, o := range owned {
+			ids = append(ids, o[i])
+		}
 	}
 	const steps = 12
 	ref := referencePoints(t, f.engines[0], ids, steps)

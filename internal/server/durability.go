@@ -19,6 +19,12 @@
 //     envelope already contains it, larger is a hole the log contract
 //     makes impossible (so it fails recovery loudly instead of scoring
 //     garbage).
+//   - With an oplog, a faulted-in stream KEEPS its spill file until a
+//     checkpoint covers the stream: the log suffix after that checkpoint
+//     may hold the stream's later pushes but not its base state, which
+//     only the file has. Every successful checkpoint deletes the files
+//     of streams that are live in it; every path that ends a live
+//     stream's life deletes its file after logging the close record.
 //
 // Net effect: after a SIGKILL, recovery reconstructs exactly the
 // acknowledged prefix of every stream — rows whose fsync never
@@ -66,7 +72,7 @@ func (s *Server) initDurability() error {
 			return fmt.Errorf("server: %w", err)
 		}
 		s.spill = store
-		s.met.enablePool(s.eng, store, &s.poolPeak)
+		s.met.enablePool(s.eng, s.spillCount, &s.poolPeak)
 	}
 	if cfg.OplogDir == "" {
 		return nil
@@ -112,25 +118,23 @@ func (s *Server) recover() error {
 		s.resetBookkeeping(&snap)
 	}
 	replayed := 0
+	lost := make(map[string]int)
 	if err := s.wal.Replay(func(rec oplog.Record) error {
 		replayed++
-		return s.applyReplay(rec)
+		return s.applyReplay(rec, lost)
 	}); err != nil {
 		return err
 	}
-	// A spill file whose stream is ALSO live means the crash hit between
-	// the spill write and the stream teardown. The live (replayed) state
-	// is the acknowledged truth — at the moment the spill was captured
-	// the two were identical, and only the live side can have advanced.
-	if s.spill != nil {
-		for _, id := range s.spill.IDs() {
-			if _, open := s.eng.Get(id); open {
-				if err := s.spill.Delete(id); err != nil {
-					return err
-				}
-			}
+	if len(lost) > 0 {
+		ids := make([]string, 0, len(lost))
+		for id := range lost {
+			ids = append(ids, id)
 		}
+		sort.Strings(ids)
+		return fmt.Errorf("stream %q: record bag_t %d but stream is at 0 — the log has a hole", ids[0], lost[ids[0]])
 	}
+	// The recovery checkpoint also drops the spill files of live streams
+	// (see pruneSpillLocked).
 	s.enforcePoolBoundLocked()
 	if err := s.checkpointAsLocked("recovery", true); err != nil {
 		return err
@@ -143,27 +147,45 @@ func (s *Server) recover() error {
 	return nil
 }
 
+// spillCount is the number of spilled (non-resident) streams: spill
+// files of live streams, kept until a checkpoint covers them, do not
+// count.
 func (s *Server) spillCount() int {
 	if s.spill == nil {
 		return 0
 	}
-	return s.spill.Len()
+	n := 0
+	for _, id := range s.spill.IDs() {
+		if _, open := s.eng.Get(id); !open {
+			n++
+		}
+	}
+	return n
 }
 
-// applyReplay applies one oplog record during recovery.
-func (s *Server) applyReplay(rec oplog.Record) error {
+// applyReplay applies one oplog record during recovery. lost collects
+// the streams whose base state neither the checkpoint nor a spill file
+// holds, keyed to the first bag_t past the stream's clock. That is
+// legitimate for a life a later close record ends — the close deleted
+// the spill file that held its base, and a closed life leaves nothing to
+// rebuild — so the stream's records are skipped until its close. A
+// stream still lost when the log ends has a hole.
+func (s *Server) applyReplay(rec oplog.Record, lost map[string]int) error {
 	switch rec.Op {
 	case oplog.OpClose:
 		if st, ok := s.eng.Get(rec.Stream); ok {
 			st.Close()
-		} else if s.spill != nil && s.spill.Has(rec.Stream) {
-			if err := s.spill.Delete(rec.Stream); err != nil {
-				return err
-			}
 		}
+		if err := s.dropSpillLocked(rec.Stream); err != nil {
+			return err
+		}
+		delete(lost, rec.Stream)
 		s.forget(rec.Stream)
 		return nil
 	case oplog.OpPush:
+		if _, ok := lost[rec.Stream]; ok {
+			return nil
+		}
 		if s.spill != nil && s.spill.Has(rec.Stream) {
 			if _, open := s.eng.Get(rec.Stream); !open {
 				if err := s.faultInLocked([]string{rec.Stream}); err != nil {
@@ -172,13 +194,18 @@ func (s *Server) applyReplay(rec oplog.Record) error {
 			}
 		}
 		seq := 0
-		if st, ok := s.eng.Get(rec.Stream); ok {
+		st, open := s.eng.Get(rec.Stream)
+		if open {
 			seq = st.Seq()
 		}
 		if rec.BagT < seq {
 			return nil // already inside the checkpoint or spilled envelope
 		}
 		if rec.BagT > seq {
+			if !open {
+				lost[rec.Stream] = rec.BagT
+				return nil
+			}
 			return fmt.Errorf("stream %q: record bag_t %d but stream is at %d — the log has a hole", rec.Stream, rec.BagT, seq)
 		}
 		st, err := s.eng.Open(rec.Stream)
@@ -245,12 +272,46 @@ func (s *Server) checkpointAsLocked(reason string, coversAll bool) error {
 	if err := s.wal.Checkpoint(blob, mark); err != nil {
 		return err
 	}
+	if err := s.pruneSpillLocked(); err != nil {
+		return err
+	}
 	s.log.Info("oplog checkpoint",
 		"reason", reason,
 		"streams", len(snap.Streams),
 		"mark", snap.Mark,
 		"duration", s.now().Sub(start).Seconds())
 	return nil
+}
+
+// pruneSpillLocked deletes the spill file of every live stream, once a
+// checkpoint holds it. Such a file is either one a fault-in kept, or —
+// during recovery — one whose stream was spilled and then came back
+// live through replay. Either way the live state is the acknowledged
+// truth: when the file was written the two were identical, and only
+// the live side can have advanced.
+func (s *Server) pruneSpillLocked() error {
+	if s.spill == nil {
+		return nil
+	}
+	for _, id := range s.spill.IDs() {
+		if _, open := s.eng.Get(id); open {
+			if err := s.spill.Delete(id); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// dropSpillLocked deletes id's spill file, if any. The paths that end a
+// stream's life call it after logging the close record, so no file
+// outlives a logged close (a later push would fault the dead life back
+// in).
+func (s *Server) dropSpillLocked(id string) error {
+	if s.spill == nil || !s.spill.Has(id) {
+		return nil
+	}
+	return s.spill.Delete(id)
 }
 
 // DefaultOplogCheckpointBytes is the auto-checkpoint trigger: once this
@@ -336,12 +397,13 @@ func (s *Server) residencyDebt(ids map[string]struct{}) bool {
 	}
 	newcomers := 0
 	for id := range ids {
+		if _, open := s.eng.Get(id); open {
+			continue
+		}
 		if s.spill.Has(id) {
 			return true
 		}
-		if _, open := s.eng.Get(id); !open {
-			newcomers++
-		}
+		newcomers++
 	}
 	return s.cfg.MaxResident > 0 && newcomers > 0 && s.eng.Len()+newcomers > s.cfg.MaxResident
 }
@@ -458,18 +520,17 @@ func (s *Server) spillStreamsLocked(ids []string) []string {
 	return spilled
 }
 
-// faultInLocked restores each spilled stream from its envelope, resumes
-// its bookkeeping at the envelope's bag clock, and deletes the spill
-// file. Callers hold the exclusive phase lock (or pre-serving
-// quiescence during replay).
+// faultInLocked restores each spilled stream from its envelope and
+// resumes its bookkeeping at the envelope's bag clock. With an oplog the
+// spill file stays until a checkpoint covers the stream (see
+// pruneSpillLocked): until then it is the only durable copy of the
+// stream's base state. Without one nothing replays, so the file goes at
+// once. Callers hold the exclusive phase lock (or pre-serving quiescence
+// during replay).
 func (s *Server) faultInLocked(ids []string) error {
 	for _, id := range ids {
 		if _, open := s.eng.Get(id); open {
-			// Live state supersedes a leftover spill file (see recover).
-			if err := s.spill.Delete(id); err != nil {
-				return err
-			}
-			continue
+			continue // live state supersedes the file
 		}
 		blob, ok, err := s.spill.Get(id)
 		if err != nil {
@@ -493,10 +554,13 @@ func (s *Server) faultInLocked(ids []string) error {
 			s.lastPush[ss.ID] = now
 		}
 		s.mu.Unlock()
-		if err := s.spill.Delete(id); err != nil {
-			// The stream is live and correct; a stale spill file is only a
-			// problem if it survives to the next recovery, which reconciles.
-			s.log.Warn("spill file delete failed after fault-in", "stream", id, "error", err)
+		if s.wal == nil {
+			if err := s.spill.Delete(id); err != nil {
+				// The stream is live and correct, and live state supersedes
+				// the file; a later spill overwrites it, a close retries the
+				// delete.
+				s.log.Warn("spill file delete failed after fault-in", "stream", id, "error", err)
+			}
 		}
 		s.met.faultins.Inc()
 	}

@@ -315,6 +315,77 @@ func TestCloseSpilledStream(t *testing.T) {
 	}
 }
 
+// TestFaultInKeepsSpillUntilCheckpoint: with an oplog, a faulted-in
+// stream keeps its spill file — the only durable copy of its base state
+// — until a checkpoint holds the stream; the spilled gauge counts only
+// non-resident streams; a close deletes the kept file; and a crash after
+// such a close still recovers (replay skips the closed life whose base
+// the close deleted) and continues every stream bit-identically.
+func TestFaultInKeepsSpillUntilCheckpoint(t *testing.T) {
+	_, refTS := newTestServer(t, nil)
+	dir := t.TempDir()
+	durable := func(c *Config) {
+		c.OplogDir = dir
+		c.MaxResident = 1
+	}
+	srvA, tsA := newTestServer(t, durable)
+	step := func(ts *httptest.Server, id string, n int) {
+		t.Helper()
+		got := doPush(t, ts, pushBody(n, id))
+		want := doPush(t, refTS, pushBody(n, id))
+		scoredEqual(t, fmt.Sprintf("%s step %d", id, n), got[0], want[0])
+	}
+	closeStream := func(ts *httptest.Server, id string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/streams/"+id+"/close", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("close %s: status %d", id, resp.StatusCode)
+		}
+	}
+
+	step(tsA, "a", 0)
+	step(tsA, "a", 1)
+	step(tsA, "b", 0) // spills a
+	if err := srvA.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	step(tsA, "a", 2) // faults a in, spills b
+	if !srvA.spill.Has("a") {
+		t.Fatal("fault-in deleted the spill file before a checkpoint held the stream")
+	}
+	if n := srvA.spillCount(); n != 1 {
+		t.Fatalf("spilled count %d, want 1 (b only; a is resident)", n)
+	}
+	closeStream(tsA, "a")
+	closeStream(refTS, "a")
+	if srvA.spill.Has("a") {
+		t.Fatal("close left the faulted-in stream's spill file behind")
+	}
+	step(tsA, "a", 0) // a new life
+	// "Crash": no drain checkpoint (see TestOplogRecoverTornTail).
+	tsA.Close()
+	if err := srvA.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srvB, tsB := newTestServer(t, durable)
+	step(tsB, "a", 1)
+	step(tsB, "b", 1)
+	step(tsB, "a", 2)
+	if err := srvB.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range srvB.eng.StreamIDs() {
+		if srvB.spill.Has(id) {
+			t.Fatalf("checkpoint kept the spill file of live stream %s", id)
+		}
+	}
+}
+
 // TestRetryAfterDerived: the 429 hint follows the observed batch
 // latency tail instead of the old hardcoded 1s.
 func TestRetryAfterDerived(t *testing.T) {

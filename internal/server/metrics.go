@@ -80,7 +80,7 @@ func (m *metrics) retryAfterSeconds() int {
 // enablePool registers the bounded-pool residency series. peak is the
 // server-maintained high-water mark of concurrently resident streams —
 // the RSS proxy the spill acceptance tests gate on.
-func (m *metrics) enablePool(eng *core.Engine, store *oplog.StreamStore, peak *atomic.Int64) {
+func (m *metrics) enablePool(eng *core.Engine, spilled func() int, peak *atomic.Int64) {
 	m.reg.GaugeFunc("bagcpd_pool_resident", "Resident (in-RAM) detector streams.", func() float64 {
 		return float64(eng.Len())
 	})
@@ -88,7 +88,7 @@ func (m *metrics) enablePool(eng *core.Engine, store *oplog.StreamStore, peak *a
 		return float64(peak.Load())
 	})
 	m.reg.GaugeFunc("bagcpd_pool_spilled", "Streams paged out to the on-disk stream store.", func() float64 {
-		return float64(store.Len())
+		return float64(spilled())
 	})
 	m.spills = m.reg.Counter("bagcpd_pool_spills_total", "Streams spilled to the on-disk stream store.")
 	m.faultins = m.reg.Counter("bagcpd_pool_faultins_total", "Spilled streams faulted back in on push.")

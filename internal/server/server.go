@@ -666,6 +666,12 @@ func (s *Server) handleCloseStream(w http.ResponseWriter, r *http.Request) {
 	}
 	st.Close()
 	s.forget(id)
+	// A stream faulted in since the last checkpoint still has its spill
+	// file; left behind, a later push would fault the closed life back in.
+	if err := s.dropSpillLocked(id); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	s.writeJSON(w, map[string]any{"closed": id})
 }
 
@@ -735,7 +741,7 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	s.state.Lock()
 	defer s.state.Unlock()
 	// Spilled streams are still this instance's to donate: fault them in
-	// so the capture below sees them.
+	// so the capture below sees them (faultInLocked skips live ones).
 	if s.spill != nil {
 		var spilled []string
 		for _, id := range req.Streams {
@@ -767,6 +773,10 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		if st, ok := s.eng.Get(id); ok {
 			st.Close()
 			s.forget(id)
+		}
+		if err := s.dropSpillLocked(id); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
 		}
 	}
 	s.met.extractions.Add(uint64(len(req.Streams)))
